@@ -3,6 +3,8 @@
 #
 # Tier 1 (required green before any merge):
 #   go vet ./... && go build ./... && go test ./...
+#   plus vet + test of the hfbench benchmark module, which is a module of
+#   its own (so ./... skips it) and links against the fock/scf API.
 #
 # Tier 2 (concurrency soundness): the race detector over the packages
 # with real parallelism and fault injection. The full ./internal/scf
@@ -141,6 +143,7 @@ tier_1() {
 	go vet ./...
 	go build ./...
 	go test $short ./...
+	(cd hfbench && go vet . && go test .)
 }
 
 tier_2() {

@@ -1,14 +1,30 @@
 // Package fock implements the paper's core contribution: construction of
-// the two-electron Fock matrix from ERIs under Cauchy-Schwarz screening,
-// in four variants sharing one quartet-distribution kernel:
+// the two-electron Fock matrix from ERIs under Cauchy-Schwarz screening.
+// Every build is the same three pieces:
 //
-//   - Serial reference
-//   - Algorithm 1: MPI-only (stock GAMESS) — everything replicated per rank
-//   - Algorithm 2: hybrid, shared density / thread-private Fock
-//   - Algorithm 3: hybrid, shared density / shared Fock with per-thread
-//     FI/FJ column buffers and chunked flush reductions
+//   - The sweep (worker.sweep, sweep.go): the one screened quartet loop.
+//     For a task (i, j) it runs kl over a range of combined pair indices
+//     kl <= ij, applies the Schwarz test, counts Stats and evaluates each
+//     surviving quartet through Config.Quartets or the engine.
+//   - The distribution: who sweeps which task and where the results are
+//     reduced.
+//     Serial: every pair in order (serial.go).
+//     Algorithm 1, MPI-only (stock GAMESS): DLB over ij pairs, everything
+//     replicated per rank, closing gsumf (mpionly.go); TiledBuild runs
+//     the same distribution into distributed tiles (tiled.go).
+//     Algorithm 2: DLB over i, OpenMP over collapsed (j, k), shared
+//     density and thread-private Fock (privatefock.go).
+//     Algorithm 3: DLB over ij, OpenMP over kl, shared density and shared
+//     Fock with per-thread FI/FJ column buffers and chunked flush
+//     reductions (sharedfock.go).
+//     Lease DLB: Algorithm 1 on leases with one-sided accumulation,
+//     surviving rank death and stragglers (resilient.go).
+//   - The digest (applyQuartet6, sweep.go): the six updates of eqs.
+//     2a-2f, written into a list of targets: G(D) for RHF, or J(dj),
+//     K(dka) and K(dkb) for UHF. The density is read from a replicated
+//     matrix or through a tile reader.
 //
-// All variants accumulate contributions into the LOWER triangle only
+// All builds accumulate contributions into the LOWER triangle only
 // (each symmetry-unique contribution is written exactly once at its
 // canonical (max, min) location, mirroring GAMESS's triangular storage);
 // Finalize unfolds the triangle into the symmetric dense matrix.
@@ -18,7 +34,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/basis"
 	"repro/internal/integrals"
 	"repro/internal/linalg"
 	"repro/internal/omp"
@@ -44,16 +59,11 @@ type Config struct {
 	// direct evaluation through the engine.
 	Quartets integrals.QuartetSource
 
-	// Straggler mitigation (resilient build only). Hedging is ON by
-	// default: when the straggler detector flags a rank, its outstanding
-	// leases are speculatively recomputed by fast ranks during the drain,
-	// first writer wins. NoHedge disables it.
-	NoHedge bool
-	// HedgeK is the straggler threshold multiple over the median task
-	// latency; 0 means 2.
-	HedgeK float64
-	// HedgeMinSamples is the minimum task count per rank before it can be
-	// flagged (or contribute to the median); 0 means 3.
+	// HedgeMinSamples is the minimum task count per rank before the
+	// resilient build's straggler detector can flag it (or count it in
+	// the median); 0 means 3. Hedging is always on: a rank slower than
+	// twice the median has its outstanding leases speculatively
+	// recomputed by fast ranks during the drain, first writer wins.
 	HedgeMinSamples int
 	// LeaseTTL, when positive, lets drain-phase ranks forcibly reclaim
 	// leases older than this — deadline-based early expiry for peers that
@@ -80,13 +90,6 @@ func (c Config) source(eng *integrals.Engine) integrals.QuartetSource {
 		return c.Quartets
 	}
 	return eng
-}
-
-func (c Config) hedgeK() float64 {
-	if c.HedgeK <= 0 {
-		return 2
-	}
-	return c.HedgeK
 }
 
 func (c Config) hedgeMinSamples() int64 {
@@ -167,96 +170,6 @@ const (
 	roleBC        // F_jk -= ...
 )
 
-// applyQuartet distributes one symmetry-unique shell quartet's ERI block
-// into Fock contributions, ignoring roles; used by the replicated-Fock
-// variants. update must add v at the unordered index pair {x, y}.
-func applyQuartet(d *linalg.Matrix, blk []float64, shells []basis.Shell,
-	i, j, k, l int, update func(x, y int, v float64)) {
-	applyQuartet6(d, blk, shells, i, j, k, l,
-		func(_ int, x, y int, v float64) { update(x, y, v) })
-}
-
-// applyQuartet6 distributes one symmetry-unique shell quartet's ERI block
-// into Fock contributions. blk is the (i j | k l) block from
-// Engine.ShellQuartet. For every canonical basis-function quartet it emits
-// the paper's six updates (eqs. 2a-2f) through update(role, x, y, v),
-// where v already includes the density factor and symmetry weight.
-// For roles AB/AC/AD, x is the basis function in shell i; for roles
-// BD/BC, x is the basis function in shell j; for role CD, x is in shell k
-// and x >= y always holds. For the other roles y may exceed x when shells
-// coincide across the bra/ket boundary; sinks must canonicalize.
-func applyQuartet6(d *linalg.Matrix, blk []float64, shells []basis.Shell,
-	i, j, k, l int, update func(role, x, y int, v float64)) {
-	si, sj, sk, sl := &shells[i], &shells[j], &shells[k], &shells[l]
-	ni, nj := si.NumFuncs(), sj.NumFuncs()
-	nk, nl := sk.NumFuncs(), sl.NumFuncs()
-	oi, oj, ok, ol := si.BFOffset, sj.BFOffset, sk.BFOffset, sl.BFOffset
-	idx := 0
-	for fa := 0; fa < ni; fa++ {
-		a := oi + fa
-		for fb := 0; fb < nj; fb++ {
-			b := oj + fb
-			for fc := 0; fc < nk; fc++ {
-				c := ok + fc
-				for fd := 0; fd < nl; fd++ {
-					dd := ol + fd
-					val := blk[idx]
-					idx++
-					// Deduplicate only the symmetry images that fall INSIDE
-					// this block, i.e. when shells coincide. (A global
-					// canonical-BF filter would drop quartets whose BF pair
-					// ordering disagrees with the shell pair ordering, e.g.
-					// (aa|ca) blocks with c > a on shared centers.)
-					if i == j && b > a {
-						continue
-					}
-					if k == l && dd > c {
-						continue
-					}
-					pab, pcd := PairIndex(a, b), PairIndex(c, dd)
-					if i == k && j == l && pcd > pab {
-						continue
-					}
-					if val == 0 {
-						continue
-					}
-					s := 1.0
-					if a == b {
-						s *= 0.5
-					}
-					if c == dd {
-						s *= 0.5
-					}
-					if pab == pcd {
-						s *= 0.5
-					}
-					// With s = 1/|stabilizer|, summing the true
-					// contributions of all eight symmetry images of the
-					// quartet gives, per target SLOT: Coulomb 2 s I D and
-					// exchange -s I D / 2 for off-diagonal slots; a
-					// diagonal slot (x == y) absorbs both mirror images
-					// and receives twice that.
-					v := s * val
-					diag := func(x, y int, w float64) float64 {
-						if x == y {
-							return 2 * w
-						}
-						return w
-					}
-					// Coulomb (eqs. 2a, 2b)
-					update(roleAB, a, b, diag(a, b, 2*v*d.At(c, dd)))
-					update(roleCD, c, dd, diag(c, dd, 2*v*d.At(a, b)))
-					// Exchange (eqs. 2c-2f)
-					update(roleAC, a, c, diag(a, c, -0.5*v*d.At(b, dd)))
-					update(roleBD, b, dd, diag(b, dd, -0.5*v*d.At(a, c)))
-					update(roleAD, a, dd, diag(a, dd, -0.5*v*d.At(b, c)))
-					update(roleBC, b, c, diag(b, c, -0.5*v*d.At(a, dd)))
-				}
-			}
-		}
-	}
-}
-
 // addLower writes v at the canonical lower-triangle location of {x, y}.
 func addLower(m *linalg.Matrix, x, y int, v float64) {
 	if x < y {
@@ -285,7 +198,3 @@ func quartetLoopBounds(i, j, k int) int {
 	}
 	return k
 }
-
-// FullUpdateCount returns how many basis-function update operations a
-// build performs, for documentation and simulator calibration.
-func FullUpdateCount(s Stats) int64 { return s.QuartetsComputed * 6 }

@@ -1,12 +1,14 @@
 package fock
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/basis"
 	"repro/internal/ddi"
+	"repro/internal/distmat"
 	"repro/internal/integrals"
 	"repro/internal/linalg"
 	"repro/internal/molecule"
@@ -309,17 +311,18 @@ func TestBufferBytes(t *testing.T) {
 	}
 }
 
-func TestFullUpdateCount(t *testing.T) {
-	if FullUpdateCount(Stats{QuartetsComputed: 7}) != 42 {
-		t.Fatal("FullUpdateCount wrong")
-	}
+// serialJK is the serial J/K split with a single exchange density.
+func serialJK(eng *integrals.Engine, sch *integrals.Schwarz, dj, dk *linalg.Matrix,
+	tau float64) (j, k *linalg.Matrix) {
+	r := SerialBuildJK(eng, sch, dj, dk, nil, tau)
+	return r.J, r.KA
 }
 
 func TestSerialBuildJKConsistentWithCombined(t *testing.T) {
 	// G = J(D) - K(D)/2 must reproduce the combined kernel exactly.
 	eng, sch, d := setup(t, molecule.Water(), "sto-3g")
 	g, _ := SerialBuild(eng, sch, d, 1e-14)
-	j, k, _ := SerialBuildJK(eng, sch, d, d, 1e-14)
+	j, k := serialJK(eng, sch, d, d, 1e-14)
 	combo := j.Clone()
 	combo.AxpyFrom(-0.5, k)
 	if diff := combo.MaxAbsDiff(g); diff > 1e-10 {
@@ -334,8 +337,8 @@ func TestSerialBuildJKSeparateDensities(t *testing.T) {
 	// J must depend only on dj and K only on dk.
 	eng, sch, d := setup(t, molecule.H2(), "sto-3g")
 	zero := linalg.NewSquare(d.Rows)
-	j1, k1, _ := SerialBuildJK(eng, sch, d, zero, 1e-14)
-	j2, k2, _ := SerialBuildJK(eng, sch, zero, d, 1e-14)
+	j1, k1 := serialJK(eng, sch, d, zero, 1e-14)
+	j2, k2 := serialJK(eng, sch, zero, d, 1e-14)
 	if k1.FrobeniusNorm() > 1e-12 {
 		t.Fatal("K nonzero for zero exchange density")
 	}
@@ -347,126 +350,41 @@ func TestSerialBuildJKSeparateDensities(t *testing.T) {
 	}
 }
 
+// denseJK contracts the full ERI tensor with no symmetry tricks:
+// J_ab = sum_cd dj_cd (ab|cd) and K_ab = sum_cd dk_cd (ac|bd).
+func denseJK(eng *integrals.Engine, dj, dk *linalg.Matrix) (j, k *linalg.Matrix) {
+	n := eng.Basis.NumBF
+	tensor := eng.FullERITensor()
+	j, k = linalg.NewSquare(n), linalg.NewSquare(n)
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			var sumJ, sumK float64
+			for c := 0; c < n; c++ {
+				for dd := 0; dd < n; dd++ {
+					sumJ += dj.At(c, dd) * tensor[((a*n+b)*n+c)*n+dd]
+					sumK += dk.At(c, dd) * tensor[((a*n+c)*n+b)*n+dd]
+				}
+			}
+			j.Set(a, b, sumJ)
+			k.Set(a, b, sumK)
+		}
+	}
+	return j, k
+}
+
 func TestJKAgainstDenseReference(t *testing.T) {
 	// Full dense J and K from the raw tensor on a tiny system.
 	eng, sch, d := setup(t, molecule.H2(), "sto-3g")
-	j, k, _ := SerialBuildJK(eng, sch, d, d, 1e-14)
+	j, k := serialJK(eng, sch, d, d, 1e-14)
+	wantJ, wantK := denseJK(eng, d, d)
 	n := eng.Basis.NumBF
-	var buf []float64
-	shells := eng.Basis.Shells
-	tensor := make([]float64, n*n*n*n)
-	for i := range shells {
-		for jj := range shells {
-			for kk := range shells {
-				for l := range shells {
-					buf = eng.ShellQuartet(i, jj, kk, l, buf)
-					si, sj, sk, sl := &shells[i], &shells[jj], &shells[kk], &shells[l]
-					idx := 0
-					for fa := 0; fa < si.NumFuncs(); fa++ {
-						for fb := 0; fb < sj.NumFuncs(); fb++ {
-							for fc := 0; fc < sk.NumFuncs(); fc++ {
-								for fd := 0; fd < sl.NumFuncs(); fd++ {
-									a, b := si.BFOffset+fa, sj.BFOffset+fb
-									c, dd := sk.BFOffset+fc, sl.BFOffset+fd
-									tensor[((a*n+b)*n+c)*n+dd] = buf[idx]
-									idx++
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
-			var wantJ, wantK float64
-			for c := 0; c < n; c++ {
-				for dd := 0; dd < n; dd++ {
-					wantJ += d.At(c, dd) * tensor[((a*n+b)*n+c)*n+dd]
-					wantK += d.At(c, dd) * tensor[((a*n+c)*n+b)*n+dd]
-				}
+			if math.Abs(j.At(a, b)-wantJ.At(a, b)) > 1e-10 {
+				t.Fatalf("J[%d,%d] = %v want %v", a, b, j.At(a, b), wantJ.At(a, b))
 			}
-			if math.Abs(j.At(a, b)-wantJ) > 1e-10 {
-				t.Fatalf("J[%d,%d] = %v want %v", a, b, j.At(a, b), wantJ)
-			}
-			if math.Abs(k.At(a, b)-wantK) > 1e-10 {
-				t.Fatalf("K[%d,%d] = %v want %v", a, b, k.At(a, b), wantK)
-			}
-		}
-	}
-}
-
-func TestDistributedFockMatchesSerial(t *testing.T) {
-	// The distributed-data variant (related-work baseline) must agree
-	// with the serial reference across rank counts.
-	eng, sch, d := setup(t, molecule.Water(), "sto-3g")
-	want, serialStats := SerialBuild(eng, sch, d, DefaultTau)
-	for _, ranks := range []int{1, 2, 5} {
-		results := make([]*linalg.Matrix, ranks)
-		perRank := make([]Stats, ranks)
-		err := mpi.Run(ranks, func(c *mpi.Comm) {
-			f, st := DistributedFockBuild(ddi.New(c), eng, sch, d, Config{})
-			results[c.Rank()] = f
-			perRank[c.Rank()] = st
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var total Stats
-		for r := 0; r < ranks; r++ {
-			if diff := results[r].MaxAbsDiff(want); diff > 1e-10 {
-				t.Fatalf("ranks=%d rank %d: diff %v", ranks, r, diff)
-			}
-			total.Add(perRank[r])
-		}
-		if total.QuartetsComputed != serialStats.QuartetsComputed {
-			t.Fatalf("ranks=%d: quartets %d != serial %d", ranks,
-				total.QuartetsComputed, serialStats.QuartetsComputed)
-		}
-	}
-}
-
-func TestParallelJKBuildersMatchSerial(t *testing.T) {
-	// The J/K-split parallel builders (the UHF path) must reproduce the
-	// serial split kernel for asymmetric dj/dka/dkb densities.
-	eng, sch, d := setup(t, molecule.Water(), "sto-3g")
-	// Asymmetric test densities: scaled/shifted copies of d.
-	dka := d.Clone()
-	dka.Scale(0.5)
-	dkb := d.Clone()
-	dkb.Scale(0.25)
-	wantJ, wantKA, _ := SerialBuildJK(eng, sch, d, dka, DefaultTau)
-	_, wantKB, _ := SerialBuildJK(eng, sch, d, dkb, DefaultTau)
-
-	builders := map[string]func(dx *ddi.Context) JKResult{
-		"mpi-only": func(dx *ddi.Context) JKResult {
-			return MPIOnlyBuildJK(dx, eng, sch, d, dka, dkb, Config{Threads: 2})
-		},
-		"private-fock": func(dx *ddi.Context) JKResult {
-			return PrivateFockBuildJK(dx, eng, sch, d, dka, dkb, Config{Threads: 2})
-		},
-		"shared-fock": func(dx *ddi.Context) JKResult {
-			return SharedFockBuildJK(dx, eng, sch, d, dka, dkb, Config{Threads: 2})
-		},
-	}
-	for name, build := range builders {
-		results := make([]JKResult, 3)
-		err := mpi.Run(3, func(c *mpi.Comm) {
-			results[c.Rank()] = build(ddi.New(c))
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for r, res := range results {
-			if diff := res.J.MaxAbsDiff(wantJ); diff > 1e-10 {
-				t.Fatalf("%s rank %d: J diff %v", name, r, diff)
-			}
-			if diff := res.KA.MaxAbsDiff(wantKA); diff > 1e-10 {
-				t.Fatalf("%s rank %d: KA diff %v", name, r, diff)
-			}
-			if diff := res.KB.MaxAbsDiff(wantKB); diff > 1e-10 {
-				t.Fatalf("%s rank %d: KB diff %v", name, r, diff)
+			if math.Abs(k.At(a, b)-wantK.At(a, b)) > 1e-10 {
+				t.Fatalf("K[%d,%d] = %v want %v", a, b, k.At(a, b), wantK.At(a, b))
 			}
 		}
 	}
@@ -479,7 +397,7 @@ func TestParallelJKNilSecondExchange(t *testing.T) {
 		if res.KB != nil {
 			t.Error("KB should be nil when dkb is nil")
 		}
-		wantJ, wantK, _ := SerialBuildJK(eng, sch, d, d, DefaultTau)
+		wantJ, wantK := serialJK(eng, sch, d, d, DefaultTau)
 		if res.J.MaxAbsDiff(wantJ) > 1e-10 || res.KA.MaxAbsDiff(wantK) > 1e-10 {
 			t.Error("nil-KB build mismatch")
 		}
@@ -489,81 +407,130 @@ func TestParallelJKNilSecondExchange(t *testing.T) {
 	}
 }
 
-func TestERIStoreMatchesDirect(t *testing.T) {
-	eng, sch, d := setup(t, molecule.Water(), "sto-3g")
-	want, directStats := SerialBuild(eng, sch, d, DefaultTau)
-	store, err := BuildStore(eng, sch, DefaultTau)
-	if err != nil {
+// onRanks runs build on every rank of a fresh world and returns each
+// rank's result.
+func onRanks[T any](t *testing.T, ranks int, build func(dx *ddi.Context) T) []T {
+	t.Helper()
+	out := make([]T, ranks)
+	if err := mpi.Run(ranks, func(c *mpi.Comm) { out[c.Rank()] = build(ddi.New(c)) }); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := store.BuildFock(d)
-	if diff := got.MaxAbsDiff(want); diff > 1e-12 {
-		t.Fatalf("in-core vs direct diff = %v", diff)
-	}
-	if int64(store.NumQuartets()) != directStats.QuartetsComputed {
-		t.Fatalf("stored %d quartets, direct computed %d", store.NumQuartets(), directStats.QuartetsComputed)
-	}
-	if store.Bytes() <= 0 {
-		t.Fatal("empty store")
-	}
-	// Replaying with a different density must also match direct.
-	d2 := d.Clone()
-	d2.Scale(0.37)
-	want2, _ := SerialBuild(eng, sch, d2, DefaultTau)
-	got2, _ := store.BuildFock(d2)
-	if diff := got2.MaxAbsDiff(want2); diff > 1e-12 {
-		t.Fatalf("replay with new density diff = %v", diff)
-	}
+	return out
 }
 
-func TestERIStoreCapRefusesHugeSystems(t *testing.T) {
-	// A modest graphene flake at 6-31G(d) already exceeds the 2 GiB cap —
-	// the paper's systems (from 0.5 nm up) are far beyond it, which is
-	// exactly why only direct SCF works there.
-	mol := molecule.GrapheneFlake(20)
-	b, err := basis.Build(mol, "6-31g(d)")
+// tiledG runs TiledBuild over tiles of edge bs and gathers the Fock
+// matrix on every rank.
+func tiledG(t *testing.T, dx *ddi.Context, eng *integrals.Engine, sch *integrals.Schwarz,
+	d *linalg.Matrix, bs int, cfg Config) *linalg.Matrix {
+	n := eng.Basis.NumBF
+	g := distmat.NewGrid(dx.Comm.Rank(), dx.Comm.Size())
+	dd, df := distmat.New(g, dx, n, bs), distmat.New(g, dx, n, bs)
+	if err := dd.ScatterDense(d); err != nil {
+		t.Errorf("scatter: %v", err)
+		return nil
+	}
+	df.Zero()
+	TiledBuild(dx, eng, sch, distmat.NewTileReader(dd, 6), distmat.NewTileAccum(df, 6), cfg)
+	distmat.UnfoldLower(df)
+	f, err := df.GatherVerified()
 	if err != nil {
-		t.Fatal(err)
+		t.Errorf("gather: %v", err)
 	}
-	eng := integrals.NewEngine(b)
-	// A fake always-pass Schwarz via tau=0 on a tiny synthetic Schwarz
-	// would be slow; estimate with the real one.
-	sch := integrals.ComputeSchwarz(eng)
-	if est := EstimateStoreBytes(eng, sch, DefaultTau); est <= MaxStoreBytes {
-		t.Fatalf("estimate %d unexpectedly fits", est)
-	}
-	if _, err := BuildStore(eng, sch, DefaultTau); err == nil {
-		t.Fatal("expected cap refusal")
-	}
+	return f
 }
 
-func TestPairCacheBuilders(t *testing.T) {
-	// All builders with a PairCache source must match the direct path.
-	eng, sch, d := setup(t, molecule.Water(), "6-31g")
-	want, _ := SerialBuild(eng, sch, d, DefaultTau)
-	pc := integrals.NewPairCache(eng, 0)
-	cfg := Config{Threads: 2, Quartets: pc}
-	err := mpi.Run(2, func(c *mpi.Comm) {
-		dx := ddi.New(c)
-		// NOTE: all ranks must run the builders in the same order (each
-		// build is a collective); a map literal here would randomize the
-		// order per rank and cross-match collectives.
-		builders := []struct {
-			name string
-			f    func() *linalg.Matrix
-		}{
-			{"mpi-only", func() *linalg.Matrix { m, _ := MPIOnlyBuild(dx, eng, sch, d, cfg); return m }},
-			{"private", func() *linalg.Matrix { m, _ := PrivateFockBuild(dx, eng, sch, d, cfg); return m }},
-			{"shared", func() *linalg.Matrix { m, _ := SharedFockBuild(dx, eng, sch, d, cfg); return m }},
-		}
-		for _, b := range builders {
-			if diff := b.f().MaxAbsDiff(want); diff > 1e-10 {
-				t.Errorf("%s with pair cache: diff %v", b.name, diff)
+// TestDistributionsAgree runs every distribution of the one quartet
+// sweep against the dense references at 1e-10: G(D) from the serial,
+// mpi-only, private, shared, resilient and tiled builds against
+// ReferenceFock2e, and J/KA/KB from the serial sweep and the three paper
+// algorithms, with and without the second exchange density, against the
+// dense J/K contraction. Rank and thread counts come from a seeded RNG.
+func TestDistributionsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, in := range []struct {
+		name      string
+		mol       *molecule.Molecule
+		set       string
+		pairCache bool
+	}{
+		{"water-sto-3g", molecule.Water(), "sto-3g", false},
+		// Every builder on a PairCache integral source.
+		{"water-6-31g-paircache", molecule.Water(), "6-31g", true},
+	} {
+		ranks, threads, bs := 1+rng.Intn(4), 1+rng.Intn(3), 1+rng.Intn(4)
+		t.Run(in.name, func(t *testing.T) {
+			t.Logf("%d ranks x %d threads, %d-wide tiles", ranks, threads, bs)
+			eng, sch, d := setup(t, in.mol, in.set)
+			cfg := Config{Threads: threads}
+			if in.pairCache {
+				cfg.Quartets = integrals.NewPairCache(eng, 0)
 			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+			// Distinct exchange densities: scaled copies of d.
+			dka, dkb := d.Clone(), d.Clone()
+			dka.Scale(0.5)
+			dkb.Scale(0.25)
+			wantG := ReferenceFock2e(eng, d)
+			wantJ, wantKA := denseJK(eng, d, dka)
+			_, wantKB := denseJK(eng, d, dkb)
+			check := func(what string, got, want *linalg.Matrix) {
+				t.Helper()
+				if diff := got.MaxAbsDiff(want); diff > 1e-10 {
+					t.Errorf("%s: diff vs dense reference %g", what, diff)
+				}
+			}
+
+			serialG, _ := SerialBuild(eng, sch, d, DefaultTau)
+			check("serial G", serialG, wantG)
+			for _, b := range []struct {
+				name  string
+				build func(dx *ddi.Context) *linalg.Matrix
+			}{
+				{"mpi-only", func(dx *ddi.Context) *linalg.Matrix { g, _ := MPIOnlyBuild(dx, eng, sch, d, cfg); return g }},
+				{"private", func(dx *ddi.Context) *linalg.Matrix { g, _ := PrivateFockBuild(dx, eng, sch, d, cfg); return g }},
+				{"shared", func(dx *ddi.Context) *linalg.Matrix { g, _ := SharedFockBuild(dx, eng, sch, d, cfg); return g }},
+				{"resilient", func(dx *ddi.Context) *linalg.Matrix { g, _ := ResilientBuild(dx, eng, sch, d, cfg); return g }},
+				{"tiled", func(dx *ddi.Context) *linalg.Matrix { return tiledG(t, dx, eng, sch, d, bs, cfg) }},
+			} {
+				for r, g := range onRanks(t, ranks, b.build) {
+					if g != nil {
+						check(fmt.Sprintf("%s G rank %d", b.name, r), g, wantG)
+					}
+				}
+			}
+
+			for _, b := range []struct {
+				name  string
+				build func(dx *ddi.Context, dkb *linalg.Matrix) JKResult
+			}{
+				{"serial", func(_ *ddi.Context, dkb *linalg.Matrix) JKResult {
+					return SerialBuildJK(eng, sch, d, dka, dkb, DefaultTau)
+				}},
+				{"mpi-only", func(dx *ddi.Context, dkb *linalg.Matrix) JKResult {
+					return MPIOnlyBuildJK(dx, eng, sch, d, dka, dkb, cfg)
+				}},
+				{"private", func(dx *ddi.Context, dkb *linalg.Matrix) JKResult {
+					return PrivateFockBuildJK(dx, eng, sch, d, dka, dkb, cfg)
+				}},
+				{"shared", func(dx *ddi.Context, dkb *linalg.Matrix) JKResult {
+					return SharedFockBuildJK(dx, eng, sch, d, dka, dkb, cfg)
+				}},
+			} {
+				for _, kb := range []*linalg.Matrix{dkb, nil} {
+					results := onRanks(t, ranks, func(dx *ddi.Context) JKResult { return b.build(dx, kb) })
+					for r, res := range results {
+						what := fmt.Sprintf("%s rank %d (dkb nil: %v)", b.name, r, kb == nil)
+						check(what+" J", res.J, wantJ)
+						check(what+" KA", res.KA, wantKA)
+						switch {
+						case kb == nil && res.KB != nil:
+							t.Errorf("%s: KB should be nil when dkb is nil", what)
+						case kb != nil:
+							check(what+" KB", res.KB, wantKB)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -14,52 +14,30 @@ import (
 // the work per iteration shrinks as the SCF converges, because dD -> 0.
 // This is a standard direct-SCF refinement orthogonal to the paper's
 // parallelization (each incremental build still runs through the same
-// quartet loops and could use any of Algorithms 1-3).
+// sweep and could use any of Algorithms 1-3).
 
-// DensityScreenedBuild is SerialBuild with the additional density-weighted
-// test |Q_ij Q_kl| * dmax < tau, where dmax bounds the density elements a
-// quartet can touch (the max over its six shell-block pairs).
+// DensityScreenedBuild is SerialBuild with the density-weighted screen
+// Q_ij Q_kl dmax < tau, where dmax bounds the density elements a
+// quartet's updates read (the max over its six shell-block pairs).
 func DensityScreenedBuild(eng *integrals.Engine, sch *integrals.Schwarz,
 	d *linalg.Matrix, tau float64) (*linalg.Matrix, Stats) {
-	n := eng.Basis.NumBF
-	shells := eng.Basis.Shells
-	ns := len(shells)
-	acc := linalg.NewSquare(n)
-	var stats Stats
+	p := newPlan(eng, sch, Config{Tau: tau}, gTarget(density{m: d}))
+	p.dmax = shellPairDmax(eng, d)
+	return gResult(serial(p))
+}
 
-	dmax := shellPairDmax(eng, d)
+// densityBound is the largest density element among the six shell-block
+// pairs quartet (i, j, k, l) reads.
+func (p *plan) densityBound(i, j, k, l int) float64 {
 	pairMax := func(a, b int) float64 {
 		if a < b {
 			a, b = b, a
 		}
-		return dmax[a*(a+1)/2+b]
+		return p.dmax[PairIndex(a, b)]
 	}
-
-	var buf []float64
-	for i := 0; i < ns; i++ {
-		for j := 0; j <= i; j++ {
-			for k := 0; k <= i; k++ {
-				lmax := quartetLoopBounds(i, j, k)
-				for l := 0; l <= lmax; l++ {
-					// Largest density element among the six blocks the
-					// quartet's updates read.
-					dm := math.Max(pairMax(k, l), pairMax(i, j))
-					dm = math.Max(dm, math.Max(pairMax(j, l), pairMax(i, k)))
-					dm = math.Max(dm, math.Max(pairMax(j, k), pairMax(i, l)))
-					if sch.Bound(i, j, k, l)*dm < tau {
-						stats.QuartetsScreened++
-						continue
-					}
-					stats.QuartetsComputed++
-					buf = eng.ShellQuartet(i, j, k, l, buf)
-					applyQuartet(d, buf, shells, i, j, k, l,
-						func(x, y int, v float64) { addLower(acc, x, y, v) })
-				}
-			}
-		}
-	}
-	Finalize(acc)
-	return acc, stats
+	dm := math.Max(pairMax(k, l), pairMax(i, j))
+	dm = math.Max(dm, math.Max(pairMax(j, l), pairMax(i, k)))
+	return math.Max(dm, math.Max(pairMax(j, k), pairMax(i, l)))
 }
 
 // shellPairDmax returns max |D_ab| over each shell block pair (packed

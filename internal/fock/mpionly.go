@@ -18,65 +18,76 @@ import (
 // ranks.
 func MPIOnlyBuild(dx *ddi.Context, eng *integrals.Engine,
 	sch *integrals.Schwarz, d *linalg.Matrix, cfg Config) (*linalg.Matrix, Stats) {
-	n := eng.Basis.NumBF
-	shells := eng.Basis.Shells
-	ns := len(shells)
-	tau := cfg.tau()
-	src := cfg.source(eng)
-	acc := linalg.NewSquare(n)
-	var stats Stats
+	return gResult(mpiOnly(dx, newPlan(eng, sch, cfg, gTarget(density{m: d}))))
+}
+
+// MPIOnlyBuildJK is Algorithm 1 for the J/K split (see JKResult).
+func MPIOnlyBuildJK(dx *ddi.Context, eng *integrals.Engine, sch *integrals.Schwarz,
+	dj, dka, dkb *linalg.Matrix, cfg Config) JKResult {
+	return jkResult(mpiOnly(dx, newPlan(eng, sch, cfg, jkTargets(dj, dka, dkb))))
+}
+
+func mpiOnly(dx *ddi.Context, p *plan) ([]*linalg.Matrix, Stats) {
+	accs := p.accumulators()
+	w := p.worker(lower(accs))
+	// The private accumulator always rides the closing gsumf, so a landed
+	// NaN-poison or bit-flip reaches every rank's Fock. Transport
+	// checksums cannot catch it (the payload is "validly" wrong at send
+	// time); the SCF-side matrix validators must.
+	w.dlbPairs(dx, &accs[0].Data)
+	// 2e-Fock matrix reduction over MPI ranks (Algorithm 1 line 16).
+	gsumf(dx, accs)
+	return accs, w.stats
+}
+
+// dlbPairs is Algorithm 1's distribution: the MPI dynamic load balancer
+// hands out combined ij indices (Algorithm 1 line 3) and this rank sweeps
+// every kl <= ij of the pairs it draws. The SDC hook gets one corruption
+// opportunity per scanned pair, in *sdc: every rank scans all pairs in
+// the same order regardless of which rank draws each one, so scheduled
+// injections are deterministic per rank.
+func (w *worker) dlbPairs(dx *ddi.Context, sdc *[]float64) {
 	tel := dx.Comm.Telemetry()
 	rank := dx.Comm.Rank()
-
 	dx.DLBReset()
 	next := dx.DLBNext() // first pair index this rank owns
-	stats.DLBGrabs++
-	var buf []float64
+	w.stats.DLBGrabs++
 	ij := int64(0)
-	for i := 0; i < ns; i++ {
-		for j := 0; j <= i; j++ {
-			// SDC hook: one corruption opportunity per scanned shell pair.
-			// Every rank scans all pairs in the same order regardless of
-			// which rank the DLB hands each one to, so scheduled injections
-			// are deterministic per rank; and the private accumulator always
-			// rides the closing gsumf, so a landed NaN-poison or bit-flip
-			// reaches every rank's Fock. Transport checksums cannot catch it
-			// (the payload is "validly" wrong at send time) — the SCF-side
-			// matrix validators must.
-			dx.Comm.InjectSDC(mpi.SiteFock, acc.Data)
-			// MPI DLB over the combined ij index (Algorithm 1 line 3).
+	for i := range w.shells {
+		for j := 0; j <= i; j, ij = j+1, ij+1 {
+			dx.Comm.InjectSDC(mpi.SiteFock, *sdc)
 			if ij != next {
-				ij++
 				continue
 			}
-			ij++
 			next = dx.DLBNext()
-			stats.DLBGrabs++
+			w.stats.DLBGrabs++
 			var endTask func()
 			if tel != nil {
 				endTask = tel.Span("fock.task", "pair", rank, 0,
 					map[string]any{"i": i, "j": j})
 			}
-			for k := 0; k <= i; k++ {
-				lmax := quartetLoopBounds(i, j, k)
-				for l := 0; l <= lmax; l++ {
-					if sch.Screened(i, j, k, l, tau) {
-						stats.QuartetsScreened++
-						continue
-					}
-					stats.QuartetsComputed++
-					buf = src.ShellQuartet(i, j, k, l, buf)
-					applyQuartet(d, buf, shells, i, j, k, l,
-						func(x, y int, v float64) { addLower(acc, x, y, v) })
-				}
-			}
+			w.sweep(i, j, 0, int(ij))
 			if endTask != nil {
 				endTask()
 			}
 		}
 	}
-	// 2e-Fock matrix reduction over MPI ranks (Algorithm 1 line 16).
-	dx.GSumF(acc.Data)
-	Finalize(acc)
-	return acc, stats
+}
+
+// gsumf closes a replicated build: each accumulator is summed over ranks
+// and unfolded into its symmetric matrix.
+func gsumf(dx *ddi.Context, accs []*linalg.Matrix) {
+	for _, acc := range accs {
+		dx.GSumF(acc.Data)
+		Finalize(acc)
+	}
+}
+
+// sumStats totals the per-thread counters of a team.
+func sumStats(workers []*worker) Stats {
+	var st Stats
+	for _, w := range workers {
+		st.Add(w.stats)
+	}
+	return st
 }

@@ -19,21 +19,29 @@ import (
 // and identical on all ranks.
 func PrivateFockBuild(dx *ddi.Context, eng *integrals.Engine,
 	sch *integrals.Schwarz, d *linalg.Matrix, cfg Config) (*linalg.Matrix, Stats) {
-	n := eng.Basis.NumBF
-	shells := eng.Basis.Shells
-	ns := len(shells)
-	tau := cfg.tau()
+	return gResult(privateFock(dx, newPlan(eng, sch, cfg, gTarget(density{m: d})), cfg))
+}
+
+// PrivateFockBuildJK is Algorithm 2 for the J/K split (see JKResult):
+// each thread keeps private J and K accumulators.
+func PrivateFockBuildJK(dx *ddi.Context, eng *integrals.Engine, sch *integrals.Schwarz,
+	dj, dka, dkb *linalg.Matrix, cfg Config) JKResult {
+	return jkResult(privateFock(dx, newPlan(eng, sch, cfg, jkTargets(dj, dka, dkb)), cfg))
+}
+
+func privateFock(dx *ddi.Context, p *plan, cfg Config) ([]*linalg.Matrix, Stats) {
+	ns := len(p.shells)
 	nthreads := cfg.threads()
 	sched := cfg.schedule()
-	src := cfg.source(eng)
 
 	// Thread-private Fock replicas (the algorithm's defining memory cost:
 	// (2 + Nthreads) N^2 per rank, eq. 3b).
-	priv := make([]*linalg.Matrix, nthreads)
+	priv := make([][]*linalg.Matrix, nthreads) // [thread][target]
+	workers := make([]*worker, nthreads)
 	for t := range priv {
-		priv[t] = linalg.NewSquare(n)
+		priv[t] = p.accumulators()
+		workers[t] = p.worker(lower(priv[t]))
 	}
-	threadStats := make([]Stats, nthreads)
 	tel := dx.Comm.Telemetry()
 	rank := dx.Comm.Rank()
 
@@ -42,9 +50,7 @@ func PrivateFockBuild(dx *ddi.Context, eng *integrals.Engine,
 	var iShared int64 // written by master, read by all between barriers
 	team.Parallel(func(tc *omp.Context) {
 		me := tc.ThreadID()
-		acc := priv[me]
-		st := &threadStats[me]
-		var buf []float64
+		w := workers[me]
 		for {
 			// Master fetches the next i index (Algorithm 2 lines 3-6). The
 			// SDC hook fires here — one corruption opportunity per claimed
@@ -53,8 +59,8 @@ func PrivateFockBuild(dx *ddi.Context, eng *integrals.Engine,
 			// the injected write.
 			tc.Master(func() {
 				iShared = dx.DLBNext()
-				st.DLBGrabs++
-				dx.Comm.InjectSDC(mpi.SiteFock, acc.Data)
+				w.stats.DLBGrabs++
+				dx.Comm.InjectSDC(mpi.SiteFock, priv[me][0].Data)
 			})
 			tc.Barrier()
 			i := int(iShared)
@@ -71,17 +77,7 @@ func PrivateFockBuild(dx *ddi.Context, eng *integrals.Engine,
 					map[string]any{"i": i})
 			}
 			tc.Collapse2(i+1, i+1, sched, func(j, k int) {
-				lmax := quartetLoopBounds(i, j, k)
-				for l := 0; l <= lmax; l++ {
-					if sch.Screened(i, j, k, l, tau) {
-						st.QuartetsScreened++
-						continue
-					}
-					st.QuartetsComputed++
-					buf = src.ShellQuartet(i, j, k, l, buf)
-					applyQuartet(d, buf, shells, i, j, k, l,
-						func(x, y int, v float64) { addLower(acc, x, y, v) })
-				}
+				w.sweep(i, j, PairIndex(k, 0), PairIndex(k, quartetLoopBounds(i, j, k)))
 			})
 			if endTask != nil {
 				endTask()
@@ -90,21 +86,17 @@ func PrivateFockBuild(dx *ddi.Context, eng *integrals.Engine,
 		// reduction(+:Fock) over threads: chunked reduction of the private
 		// replicas into thread 0's copy (paper Figure 1(B) access pattern).
 		if nthreads > 1 {
-			others := make([][]float64, 0, nthreads-1)
-			for t := 1; t < nthreads; t++ {
-				others = append(others, priv[t].Data)
+			for o := range p.outs {
+				others := make([][]float64, 0, nthreads-1)
+				for t := 1; t < nthreads; t++ {
+					others = append(others, priv[t][o].Data)
+				}
+				tc.ReduceChunked(priv[0][o].Data, others)
+				tc.Barrier()
 			}
-			tc.ReduceChunked(priv[0].Data, others)
-			tc.Barrier()
 		}
 	})
-	total := priv[0]
-	var stats Stats
-	for t := range threadStats {
-		stats.Add(threadStats[t])
-	}
 	// 2e-Fock matrix reduction over MPI ranks (Algorithm 2 line 23).
-	dx.GSumF(total.Data)
-	Finalize(total)
-	return total, stats
+	gsumf(dx, priv[0])
+	return priv[0], sumStats(workers)
 }

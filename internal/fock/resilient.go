@@ -10,6 +10,10 @@ import (
 	"repro/internal/mpi"
 )
 
+// hedgeK is the straggler threshold: a rank whose task latency exceeds
+// this multiple of the median has its outstanding leases hedged.
+const hedgeK = 2
+
 // ResilientBuild is the fault-aware Fock construction: Algorithm 1's
 // quartet distribution re-based on the lease-granting DLB
 // (ddi.LeaseDLB), with the closing gsumf replaced by one-sided
@@ -35,16 +39,12 @@ import (
 // returned matrix is identical on all surviving ranks.
 func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 	sch *integrals.Schwarz, d *linalg.Matrix, cfg Config) (*linalg.Matrix, Stats) {
-	n := eng.Basis.NumBF
-	shells := eng.Basis.Shells
-	ns := len(shells)
-	tau := cfg.tau()
-	src := cfg.source(eng)
-	var stats Stats
+	p := newPlan(eng, sch, cfg, gTarget(density{m: d}))
+	n := p.n
 	tel := dx.Comm.Telemetry()
 	rank := dx.Comm.Rank()
 
-	lease := dx.NewLeaseDLB(NumPairs(ns))
+	lease := dx.NewLeaseDLB(NumPairs(len(p.shells)))
 	win := fmt.Sprintf("fock.resilient.%d", lease.Cycle())
 	dx.Comm.WinCreate(win, n*n)
 
@@ -59,7 +59,15 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 		val       []float64
 	}
 	var pending []pendingTask
-	var buf []float64
+	var task pendingTask // the task being computed; the sink appends to it
+	w := p.worker([]sink{func(_, x, y int, v float64) {
+		if x < y {
+			x, y = y, x
+		}
+		task.pos = append(task.pos, x*n+y)
+		task.val = append(task.val, v)
+	}})
+	stats := &w.stats
 
 	computePair := func(ij, owner int) {
 		i, j := PairDecode(ij)
@@ -67,28 +75,11 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 			defer tel.Span("fock.task", "pair", rank, 0,
 				map[string]any{"i": i, "j": j})()
 		}
-		task := pendingTask{ij: ij, owner: owner}
+		task = pendingTask{ij: ij, owner: owner}
+		computed := stats.QuartetsComputed
 		t0 := time.Now()
-		for k := 0; k <= i; k++ {
-			lmax := quartetLoopBounds(i, j, k)
-			for l := 0; l <= lmax; l++ {
-				if sch.Screened(i, j, k, l, tau) {
-					stats.QuartetsScreened++
-					continue
-				}
-				stats.QuartetsComputed++
-				task.quartets++
-				buf = src.ShellQuartet(i, j, k, l, buf)
-				applyQuartet(d, buf, shells, i, j, k, l,
-					func(x, y int, v float64) {
-						if x < y {
-							x, y = y, x
-						}
-						task.pos = append(task.pos, x*n+y)
-						task.val = append(task.val, v)
-					})
-			}
-		}
+		w.sweep(i, j, 0, ij)
+		task.quartets = stats.QuartetsComputed - computed
 		elapsed := time.Since(t0)
 		// Chaos hook: a sustained Slowdown scheduled for this rank stalls
 		// it here, making it a genuine straggler the detector must catch.
@@ -177,15 +168,13 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 			start = time.Now()
 			continue
 		}
-		if !cfg.NoHedge {
-			if slow := dx.Stragglers(cfg.hedgeK(), cfg.hedgeMinSamples()); len(slow) > 0 {
-				if ij, owner, ok := lease.Hedge(slow); ok {
-					stats.TasksHedged++
-					computePair(ij, owner)
-					flush()
-					start = time.Now()
-					continue
-				}
+		if slow := dx.Stragglers(hedgeK, cfg.hedgeMinSamples()); len(slow) > 0 {
+			if ij, owner, ok := lease.Hedge(slow); ok {
+				stats.TasksHedged++
+				computePair(ij, owner)
+				flush()
+				start = time.Now()
+				continue
 			}
 		}
 		if ij, ok := lease.Expired(cfg.LeaseTTL); ok {
@@ -204,5 +193,5 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 	acc := linalg.NewSquare(n)
 	dx.Comm.WinGet(win, 0, acc.Data)
 	Finalize(acc)
-	return acc, stats
+	return acc, *stats
 }

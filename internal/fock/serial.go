@@ -5,37 +5,35 @@ import (
 	"repro/internal/linalg"
 )
 
-// SerialBuild constructs the two-electron Fock matrix on one thread using
-// the canonical symmetry-unique quartet loops with Schwarz screening. It
-// is the correctness reference for all parallel variants and the
-// single-core baseline of the benchmarks.
+// SerialBuild constructs the two-electron Fock matrix on one thread,
+// sweeping the canonical symmetry-unique quartets with Schwarz screening
+// at tau (0 means DefaultTau). It is the correctness reference for all
+// parallel variants and the single-core baseline of the benchmarks.
 func SerialBuild(eng *integrals.Engine, sch *integrals.Schwarz,
 	d *linalg.Matrix, tau float64) (*linalg.Matrix, Stats) {
-	n := eng.Basis.NumBF
-	shells := eng.Basis.Shells
-	ns := len(shells)
-	acc := linalg.NewSquare(n)
-	var stats Stats
-	var buf []float64
-	for i := 0; i < ns; i++ {
-		for j := 0; j <= i; j++ {
-			for k := 0; k <= i; k++ {
-				lmax := quartetLoopBounds(i, j, k)
-				for l := 0; l <= lmax; l++ {
-					if sch.Screened(i, j, k, l, tau) {
-						stats.QuartetsScreened++
-						continue
-					}
-					stats.QuartetsComputed++
-					buf = eng.ShellQuartet(i, j, k, l, buf)
-					applyQuartet(d, buf, shells, i, j, k, l,
-						func(x, y int, v float64) { addLower(acc, x, y, v) })
-				}
-			}
-		}
+	return gResult(serial(newPlan(eng, sch, Config{Tau: tau}, gTarget(density{m: d}))))
+}
+
+// SerialBuildJK is SerialBuild split for unrestricted Hartree-Fock: one
+// sweep yields J(dj), K(dka) and, unless dkb is nil, K(dkb) (see
+// JKResult). The restricted G(D) is J(D) - K(D)/2.
+func SerialBuildJK(eng *integrals.Engine, sch *integrals.Schwarz,
+	dj, dka, dkb *linalg.Matrix, tau float64) JKResult {
+	return jkResult(serial(newPlan(eng, sch, Config{Tau: tau}, jkTargets(dj, dka, dkb))))
+}
+
+// serial sweeps every canonical pair in order on one thread.
+func serial(p *plan) ([]*linalg.Matrix, Stats) {
+	accs := p.accumulators()
+	w := p.worker(lower(accs))
+	for ij := 0; ij < NumPairs(len(p.shells)); ij++ {
+		i, j := PairDecode(ij)
+		w.sweep(i, j, 0, ij)
 	}
-	Finalize(acc)
-	return acc, stats
+	for _, acc := range accs {
+		Finalize(acc)
+	}
+	return accs, w.stats
 }
 
 // ReferenceFock2e builds the two-electron Fock matrix with no symmetry

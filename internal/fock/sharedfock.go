@@ -3,7 +3,6 @@ package fock
 import (
 	"time"
 
-	"repro/internal/basis"
 	"repro/internal/ddi"
 	"repro/internal/integrals"
 	"repro/internal/linalg"
@@ -27,28 +26,67 @@ import (
 // and identical on all ranks.
 func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
 	sch *integrals.Schwarz, d *linalg.Matrix, cfg Config) (*linalg.Matrix, Stats) {
-	n := eng.Basis.NumBF
-	shells := eng.Basis.Shells
-	ns := len(shells)
-	npairs := NumPairs(ns)
-	tau := cfg.tau()
+	return gResult(sharedFock(dx, newPlan(eng, sch, cfg, gTarget(density{m: d})), cfg))
+}
+
+// SharedFockBuildJK is Algorithm 3 for the J/K split (see JKResult):
+// every output matrix gets its own FI/FJ buffers, flushed on the same
+// schedule.
+func SharedFockBuildJK(dx *ddi.Context, eng *integrals.Engine, sch *integrals.Schwarz,
+	dj, dka, dkb *linalg.Matrix, cfg Config) JKResult {
+	return jkResult(sharedFock(dx, newPlan(eng, sch, cfg, jkTargets(dj, dka, dkb)), cfg))
+}
+
+// fijTask is where a thread's current ij task lands: the i and j shell
+// blocks its FI and FJ buffers hold.
+type fijTask struct{ oi, ni, oj, nj int }
+
+func sharedFock(dx *ddi.Context, p *plan, cfg Config) ([]*linalg.Matrix, Stats) {
+	n := p.n
+	npairs := NumPairs(len(p.shells))
 	nthreads := cfg.threads()
 	sched := cfg.schedule()
-	maxQ := sch.MaxQ()
-	maxSz := eng.Basis.ShellSizeMax()
-	src := cfg.source(eng)
+	maxQ := p.sch.MaxQ()
+	maxSz := p.bas.ShellSizeMax()
 
-	acc := linalg.NewSquare(n) // shared lower-triangle accumulator
-	// FI/FJ: one [shell function x NBF] block per thread (Algorithm 3
-	// line 3). Separate slices per thread keep them on distinct cache
-	// lines (the role of the paper's padding bytes).
-	fi := make([][]float64, nthreads)
-	fj := make([][]float64, nthreads)
-	for t := 0; t < nthreads; t++ {
-		fi[t] = make([]float64, maxSz*n)
-		fj[t] = make([]float64, maxSz*n)
+	accs := p.accumulators() // shared lower-triangle accumulators
+	// FI/FJ: one [shell function x NBF] block per thread and output
+	// (Algorithm 3 line 3). Separate slices per thread keep them on
+	// distinct cache lines (the role of the paper's padding bytes).
+	fi := make([][][]float64, len(accs)) // [target][thread]
+	fj := make([][][]float64, len(accs))
+	for o := range accs {
+		fi[o] = make([][]float64, nthreads)
+		fj[o] = make([][]float64, nthreads)
+		for t := 0; t < nthreads; t++ {
+			fi[o][t] = make([]float64, maxSz*n)
+			fj[o][t] = make([]float64, maxSz*n)
+		}
 	}
-	threadStats := make([]Stats, nthreads)
+	// Each thread routes its updates by role (Algorithm 3 lines 25-27):
+	// updates touching the i shell go to its FI buffer, updates touching
+	// the j shell go to FJ, and the kl element updates the shared
+	// accumulator directly.
+	tasks := make([]*fijTask, nthreads)
+	workers := make([]*worker, nthreads)
+	for t := range workers {
+		cur := new(fijTask)
+		add := make([]sink, len(accs))
+		for o, acc := range accs {
+			fiBuf, fjBuf := fi[o][t], fj[o][t]
+			add[o] = func(role, x, y int, v float64) {
+				switch role {
+				case roleAB, roleAC, roleAD:
+					fiBuf[bufSlot(x, y, cur.oi, cur.ni, n)] += v
+				case roleBD, roleBC:
+					fjBuf[bufSlot(x, y, cur.oj, cur.nj, n)] += v
+				default: // roleCD: c >= d within the canonical enumeration.
+					acc.Add(x, y, v)
+				}
+			}
+		}
+		tasks[t], workers[t] = cur, p.worker(add)
+	}
 	tel := dx.Comm.Telemetry()
 	rank := dx.Comm.Rank()
 
@@ -58,30 +96,26 @@ func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
 	var taskT0 time.Time // set by the master at each draw; master-only access
 
 	// flush adds the per-thread buffers for shell sh into the shared
-	// accumulator and zeroes them. Contributions live at slot
+	// accumulators and zeroes them. Contributions live at slot
 	// [local*n + y]; the write target is the canonical lower-triangle
 	// element of {shellOffset+local, y}. Work is partitioned over y, which
-	// is race-free (see buffer-slot normalization in the update routing).
-	// Callers wrap it in barriers.
-	flush := func(tc *omp.Context, bufs [][]float64, sh int) {
-		s := &shells[sh]
+	// is race-free (see bufSlot). Callers wrap it in barriers.
+	flush := func(tc *omp.Context, bufs [][][]float64, sh int) {
+		s := &p.shells[sh]
 		off, cnt := s.BFOffset, s.NumFuncs()
 		lo, hi := tc.StaticRange(n)
-		for local := 0; local < cnt; local++ {
-			row := off + local
-			for y := lo; y < hi; y++ {
-				sum := 0.0
-				for t := 0; t < nthreads; t++ {
-					sum += bufs[t][local*n+y]
-					bufs[t][local*n+y] = 0
-				}
-				if sum == 0 {
-					continue
-				}
-				if row >= y {
-					acc.Add(row, y, sum)
-				} else {
-					acc.Add(y, row, sum)
+		for o, acc := range accs {
+			for local := 0; local < cnt; local++ {
+				row := off + local
+				for y := lo; y < hi; y++ {
+					sum := 0.0
+					for t := 0; t < nthreads; t++ {
+						sum += bufs[o][t][local*n+y]
+						bufs[o][t][local*n+y] = 0
+					}
+					if sum != 0 {
+						addLower(acc, row, y, sum)
+					}
 				}
 			}
 		}
@@ -89,9 +123,7 @@ func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
 
 	team.Parallel(func(tc *omp.Context) {
 		me := tc.ThreadID()
-		fiBuf, fjBuf := fi[me], fj[me]
-		st := &threadStats[me]
-		var buf []float64
+		w, cur := workers[me], tasks[me]
 		iold := -1
 		for {
 			// The SDC hook fires inside the master section — one corruption
@@ -100,9 +132,9 @@ func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
 			// injected write races nothing.
 			tc.Master(func() {
 				ijShared = dx.DLBNext()
-				st.DLBGrabs++
+				w.stats.DLBGrabs++
 				taskT0 = time.Now()
-				dx.Comm.InjectSDC(mpi.SiteFock, acc.Data)
+				dx.Comm.InjectSDC(mpi.SiteFock, accs[0].Data)
 			})
 			tc.Barrier()
 			ij := int(ijShared)
@@ -113,9 +145,9 @@ func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
 			i, j := PairDecode(ij)
 			// I and J prescreening (Algorithm 3 line 13): the whole top
 			// iteration is skipped when no kl can survive.
-			if sch.PairQ(i, j)*maxQ < tau {
+			if p.sch.PairQ(i, j)*maxQ < p.tau {
 				if me == 0 {
-					st.PairsSkipped++
+					w.stats.PairsSkipped++
 				}
 				continue
 			}
@@ -124,11 +156,11 @@ func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
 			if i != iold && iold >= 0 {
 				tc.Barrier()
 				flush(tc, fi, iold)
-				st.Flushes++
+				w.stats.Flushes++
 				tc.Barrier()
 			}
-			si, sj := &shells[i], &shells[j]
-			oi, oj := si.BFOffset, sj.BFOffset
+			si, sj := &p.shells[i], &p.shells[j]
+			*cur = fijTask{si.BFOffset, si.NumFuncs(), sj.BFOffset, sj.NumFuncs()}
 			// Inner kl loop, kl = 0..ij (Algorithm 3 lines 19-30).
 			// tc.For carries the `omp end do` implicit barrier. Per-thread
 			// spans expose intra-team imbalance per ij-task in the trace.
@@ -137,23 +169,13 @@ func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
 				endTask = tel.Span("fock.task", "ij-task", rank, me+1,
 					map[string]any{"i": i, "j": j})
 			}
-			tc.For(ij+1, sched, func(kl int) {
-				k, l := PairDecode(kl)
-				if sch.Screened(i, j, k, l, tau) {
-					st.QuartetsScreened++
-					return
-				}
-				st.QuartetsComputed++
-				buf = src.ShellQuartet(i, j, k, l, buf)
-				applyQuartetRouted(d, buf, shells, i, j, k, l,
-					oi, oj, n, fiBuf, fjBuf, acc)
-			})
+			tc.For(ij+1, sched, func(kl int) { w.sweep(i, j, kl, kl) })
 			if endTask != nil {
 				endTask()
 			}
 			// Flush FJ after every kl loop (Algorithm 3 line 31).
 			flush(tc, fj, j)
-			st.Flushes++
+			w.stats.Flushes++
 			// Chaos hook: a sustained Slowdown stalls the master here —
 			// the team blocks on the next barrier behind it, so the whole
 			// rank slows by the scheduled factor — and every rank's task
@@ -174,53 +196,18 @@ func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
 			tc.Barrier()
 		}
 	})
-
-	var stats Stats
-	for t := range threadStats {
-		stats.Add(threadStats[t])
-	}
 	// 2e-Fock matrix reduction over MPI ranks (Algorithm 3 line 38).
-	dx.GSumF(acc.Data)
-	Finalize(acc)
-	return acc, stats
+	gsumf(dx, accs)
+	return accs, sumStats(workers)
 }
 
-// applyQuartetRouted distributes one quartet's contributions with the
-// shared-Fock routing: updates touching the i shell go to this thread's
-// FI buffer, updates touching the j shell go to FJ, and the kl element
-// updates the shared accumulator directly (Algorithm 3 lines 25-27).
-//
-// Buffer slots are [local*n + other]. When both indices of a pair fall in
-// the buffer's own shell block, the slot is normalized to
-// (maxLocal, minGlobal) so that the flush's partition-by-column is
-// race-free.
-func applyQuartetRouted(d *linalg.Matrix, blk []float64, shells []basis.Shell,
-	i, j, k, l int, oi, oj, n int, fiBuf, fjBuf []float64, acc *linalg.Matrix) {
-	toFI := func(a, y int, v float64) {
-		if y >= oi && y-oi < shells[i].NumFuncs() && y > a {
-			// Both in the i block and out of order: normalize so the
-			// flush's partition-by-column stays race-free.
-			a, y = y, a
-		}
-		fiBuf[(a-oi)*n+y] += v
+// bufSlot is the FI/FJ buffer slot [local*n + other] of an update at
+// {x, y}, where x lies in the buffer's shell block [off, off+cnt). When y
+// lies in the block too, the slot is normalized to (maxLocal, minGlobal)
+// so that the flush's partition over columns stays race-free.
+func bufSlot(x, y, off, cnt, n int) int {
+	if y >= off && y-off < cnt && y > x {
+		x, y = y, x
 	}
-	toFJ := func(b, y int, v float64) {
-		if y >= oj && y-oj < shells[j].NumFuncs() && y > b {
-			// Both in the j block and out of order: normalize.
-			b, y = y, b
-		}
-		fjBuf[(b-oj)*n+y] += v
-	}
-	applyQuartet6(d, blk, shells, i, j, k, l,
-		func(role int, x, y int, v float64) {
-			switch role {
-			case roleAB, roleAC, roleAD:
-				toFI(x, y, v)
-			case roleBD, roleBC:
-				toFJ(x, y, v)
-			default: // roleCD
-				// c >= d within the canonical enumeration.
-				acc.Add(x, y, v)
-			}
-		})
+	return (x-off)*n + y
 }

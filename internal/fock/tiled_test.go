@@ -35,9 +35,8 @@ func tiledSetup(t *testing.T) (*integrals.Engine, *integrals.Schwarz, *linalg.Ma
 	return eng, sch, d
 }
 
-// TestTiledBuildMatchesSerial pins applyQuartetDist to applyQuartet6:
-// the distributed build over tiles must reproduce the serial replicated
-// Fock to summation-order roundoff, for several rank counts and tile
+// TestTiledBuildMatchesSerial: the distributed build, reading the
+// density through tiles, must reproduce the serial replicated Fock to summation-order roundoff, for several rank counts and tile
 // edges (including tiles that straddle shell boundaries).
 func TestTiledBuildMatchesSerial(t *testing.T) {
 	eng, sch, d := tiledSetup(t)

@@ -341,33 +341,6 @@ func TestMP2RequiresConvergence(t *testing.T) {
 	}
 }
 
-func TestInCoreSCFMatchesDirect(t *testing.T) {
-	b, err := basis.Build(molecule.Water(), "sto-3g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := integrals.NewEngine(b)
-	sch := integrals.ComputeSchwarz(eng)
-	direct, err := RunRHF(eng, SerialBuilder(eng, sch, 0), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inCore, err := InCoreBuilder(eng, sch, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conv, err := RunRHF(eng, inCore, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(conv.Energy-direct.Energy) > 1e-11 {
-		t.Fatalf("in-core %v vs direct %v", conv.Energy, direct.Energy)
-	}
-	if conv.Iterations != direct.Iterations {
-		t.Fatalf("iteration counts differ: %d vs %d", conv.Iterations, direct.Iterations)
-	}
-}
-
 func TestGWHGuess(t *testing.T) {
 	core, _ := serialSCF(t, molecule.Water(), "sto-3g", Options{})
 	gwh, _ := serialSCF(t, molecule.Water(), "sto-3g", Options{Guess: "gwh"})

@@ -36,19 +36,15 @@ type UHFResult struct {
 // JKBuilder produces the Coulomb matrix J(dj) and the two exchange
 // matrices K(dka), K(dkb) for one UHF iteration. Serial and parallel
 // implementations live in internal/fock (SerialBuildJK and the
-// *BuildJK variants of Algorithms 1-3).
+// *BuildJK variants of Algorithms 1-3), each one quartet sweep.
 type JKBuilder func(dj, dka, dkb *linalg.Matrix) (j, ka, kb *linalg.Matrix, stats fock.Stats)
 
-// SerialJKBuilder wraps the serial split kernel as a JKBuilder.
+// SerialJKBuilder wraps the serial split sweep as a JKBuilder; tau 0
+// means fock.DefaultTau.
 func SerialJKBuilder(eng *integrals.Engine, sch *integrals.Schwarz, tau float64) JKBuilder {
-	if tau == 0 {
-		tau = fock.DefaultTau
-	}
 	return func(dj, dka, dkb *linalg.Matrix) (*linalg.Matrix, *linalg.Matrix, *linalg.Matrix, fock.Stats) {
-		j, ka, st1 := fock.SerialBuildJK(eng, sch, dj, dka, tau)
-		_, kb, st2 := fock.SerialBuildJK(eng, sch, dj, dkb, tau)
-		st1.Add(st2)
-		return j, ka, kb, st1
+		r := fock.SerialBuildJK(eng, sch, dj, dka, dkb, tau)
+		return r.J, r.KA, r.KB, r.Stats
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ddi"
 	"repro/internal/fock"
 	"repro/internal/integrals"
+	"repro/internal/linalg"
 	"repro/internal/molecule"
 	"repro/internal/mpi"
 )
@@ -102,6 +103,27 @@ func TestUHFTripletOxygen(t *testing.T) {
 	}
 	if singlet.Converged && res.Energy >= singlet.Energy {
 		t.Fatalf("triplet %v not below singlet %v", res.Energy, singlet.Energy)
+	}
+}
+
+func TestSerialUHFSweepsOncePerIteration(t *testing.T) {
+	// Both spins' J and K come from one quartet sweep: a serial UHF
+	// iteration evaluates exactly the quartets of one serial RHF build.
+	m := &molecule.Molecule{Name: "O2"}
+	m.AddAtomAngstrom("O", 0, 0, 0)
+	m.AddAtomAngstrom("O", 0, 0, 1.2075)
+	eng := uhfSetup(t, m, "sto-3g")
+	res, err := RunUHF(eng, 3, Options{MaxIter: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := integrals.ComputeSchwarz(eng)
+	_, rhf := fock.SerialBuild(eng, sch, linalg.NewSquare(eng.Basis.NumBF), fock.DefaultTau)
+	total := res.TotalStats.QuartetsComputed
+	if perIter := total / int64(res.Iterations); perIter != rhf.QuartetsComputed ||
+		total%int64(res.Iterations) != 0 {
+		t.Fatalf("%d quartets over %d iterations (%d per iteration), one RHF build computes %d",
+			total, res.Iterations, perIter, rhf.QuartetsComputed)
 	}
 }
 
